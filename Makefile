@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck lint fmt fmtcheck test cover race fuzz-smoke bench benchsmoke repairmgr-smoke shards-smoke metrics-smoke persist-smoke cache-smoke engine-bench contention-bench serve-bench partialsum-bench repairmgr-bench shards-bench persist-bench cache-bench ci
+.PHONY: build vet staticcheck lint fmt fmtcheck test perfbench-check cover race fuzz-smoke bench benchsmoke repairmgr-smoke shards-smoke metrics-smoke persist-smoke cache-smoke engine-bench contention-bench serve-bench partialsum-bench repairmgr-bench shards-bench persist-bench cache-bench ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module (replace repro => ../), so the root
+# build and test never compile it; this target does, so a change to the
+# serve API cannot silently break the benchmark.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
 
 # Per-package coverage: the `ok <pkg> coverage: NN%` lines are the CI
 # job summary; coverage.out feeds go tool cover for local drill-down.
@@ -166,4 +173,4 @@ persist-bench:
 cache-bench:
 	$(GO) run ./cmd/loadgen -cachebench
 
-ci: build vet staticcheck lint fmtcheck test race benchsmoke fuzz-smoke
+ci: build vet staticcheck lint fmtcheck test perfbench-check race benchsmoke fuzz-smoke

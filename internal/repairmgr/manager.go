@@ -417,8 +417,16 @@ func (m *Manager) Heartbeat(node int) error {
 	return nil
 }
 
-// NodeState returns the detector's view of one machine.
-func (m *Manager) NodeState(node int) NodeState { return m.det.State(node) }
+// NodeState returns the detector's view of one machine. It waits out
+// an in-flight Poll: the detector publishes a state before Poll has
+// handled the transition, and a caller acting on a suspect state (a
+// restart inside the grace window) must not race the suspect snapshot
+// that credits the saving.
+func (m *Manager) NodeState(node int) NodeState {
+	m.pollMu.Lock()
+	defer m.pollMu.Unlock()
+	return m.det.State(node)
+}
 
 // Poll runs one control-loop iteration: evaluate detector timeouts,
 // process transitions, schedule due scrub slices, and drain the repair

@@ -1,11 +1,21 @@
-// The serving-layer client. Reads are replica-spread and self-healing:
-// each block read rotates across live replicas, and when none answers
-// — the holder died, or died mid-transfer — the client fetches the
-// stripe layout from the namenode, downloads the surviving helper
-// ranges of the codec's repair plan from their datanodes, and decodes
-// the missing block locally (a degraded read). Callers see bytes,
-// never failures, as long as the stripe stays recoverable; the
-// Counters expose how many block reads had to take the degraded path.
+// The serving-layer client. Every block read runs one pipeline:
+//
+//  1. the client block cache (WithBlockCache), before any RPC;
+//  2. the replica chain: the block's live holders, fastest first,
+//     until one serves it (a holder refusing the bytes on checksum
+//     grounds counts as gone);
+//  3. reconstruction from the stripe (a degraded read): fetch the
+//     stripe layout from the namenode, try the partial-sum fold
+//     (WithPartialSumRepair), then the conventional fan-in of the
+//     codec's repair plan. A helper position no holder can serve is
+//     marked erased and the plan re-run around it.
+//
+// Without WithHedgedReads the chain and the reconstruction run inline
+// on the caller's goroutine; with it, the chain runs in a goroutine and
+// reconstruction races it once the hedge delay passes. readBlock
+// retries the pipeline with refreshed metadata. Callers see bytes,
+// never failures, as long as the stripe stays recoverable; the Counters
+// expose how many block reads had to take the degraded path.
 package serve
 
 import (
@@ -334,11 +344,6 @@ func (c *Client) Close() error {
 // nameCall performs one namenode RPC, redialling once if the pooled
 // connection has gone stale.
 func (c *Client) nameCall(req *request, payload []byte) (*response, error) {
-	resp, _, err := c.nameCallPayload(req, payload)
-	return resp, err
-}
-
-func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byte, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		c.mu.Lock()
 		cn := c.name
@@ -346,7 +351,7 @@ func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byt
 		if cn == nil {
 			fresh, err := dialConn(c.nameAddr, c.timeout)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			c.mu.Lock()
 			if c.name == nil {
@@ -358,12 +363,12 @@ func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byt
 			}
 			c.mu.Unlock()
 		}
-		resp, out, err := cn.call(req, payload, c.timeout)
+		resp, _, err := cn.call(req, payload, c.timeout)
 		if err == nil {
-			return resp, out, nil
+			return resp, nil
 		}
 		if _, remote := err.(*RemoteError); remote {
-			return nil, nil, err
+			return nil, err
 		}
 		// Transport failure: drop the pooled connection and redial.
 		c.mu.Lock()
@@ -373,7 +378,7 @@ func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byt
 		c.mu.Unlock()
 		cn.close()
 		if attempt == 1 {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	panic("unreachable")
@@ -393,21 +398,10 @@ func (c *Client) refreshAddrs() error {
 	return nil
 }
 
-// dnCall performs one RPC against the given machine's datanode.
-func (c *Client) dnCall(machine int, req *request) ([]byte, error) {
-	return c.dnCallTimeout(machine, req, c.timeout)
-}
-
-// dnCallTimeout is dnCall with an explicit deadline — partial-sum
-// calls scale theirs with the fold tree's size.
-func (c *Client) dnCallTimeout(machine int, req *request, timeout time.Duration) ([]byte, error) {
-	_, out, err := c.dnCallFull(machine, req, timeout)
-	return out, err
-}
-
-// dnCallFull also surfaces the response header — debug.trace answers
-// in the header's span list, not the payload.
-func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*response, []byte, error) {
+// dnCall performs one RPC against the given machine's datanode. The
+// timeout is explicit because partial-sum calls scale theirs with the
+// fold tree's size; the response header carries debug.trace's spans.
+func (c *Client) dnCall(machine int, req *request, timeout time.Duration) (*response, []byte, error) {
 	c.mu.Lock()
 	var addr string
 	if machine >= 0 && machine < len(c.addrs) {
@@ -454,13 +448,6 @@ func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*
 	}
 	c.lat.observe(machine, time.Since(start))
 	return resp, out, nil
-}
-
-// dnRead fetches one byte range of one block from a machine. trace,
-// when non-nil, rides the request so the datanode's span parents under
-// the caller's.
-func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext) ([]byte, error) {
-	return c.dnCall(machine, &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace})
 }
 
 // WriteFile stores data as a new file.
@@ -636,7 +623,7 @@ func (c *Client) CollectTrace(traceID uint64) ([]telemetry.Span, error) {
 		if addr == "" {
 			continue
 		}
-		resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout)
+		resp, _, err := c.dnCall(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout)
 		if err != nil {
 			continue
 		}
@@ -680,18 +667,10 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	return out, nil
 }
 
-// cacheFill records a successfully read block in the client cache
-// (no-op without WithBlockCache). Every fill is a full block keyed by
-// its immutable id, so a hit can be returned without consulting
-// metadata.
-func (c *Client) cacheFill(b wireBlock, data []byte) {
-	c.blockCache.Put(uint64(b.ID), data)
-}
-
-// readBlock reads one block, retrying with refreshed metadata when
-// replicas or helpers die mid-flight. The block cache is consulted
-// before any RPC; every successful read — healthy, hedged, degraded —
-// fills it.
+// readBlock reads one block: the client cache first, then fetchBlock,
+// retried with refreshed metadata when replicas or helpers die
+// mid-flight. Every successful fetch fills the cache; keys are
+// immutable block ids, so a hit needs no metadata.
 func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) {
 	if c.blockCache != nil {
 		if data, ok := c.blockCache.Get(uint64(b.ID)); ok {
@@ -718,104 +697,97 @@ func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) 
 			}
 			b = blocks[index]
 		}
-
-		// Hedged path: race the replica chain against a delayed stripe
-		// reconstruction (see hedge.go). It subsumes both branches
-		// below — whichever arm wins carries the bytes.
-		if c.hedge && b.Stripe >= 0 && len(b.Locations) > 0 {
-			data, degraded, err := c.hedgedRead(b)
-			if err == nil {
-				c.cBlocksRead.Inc()
-				if degraded {
-					c.cDegradedBlocks.Inc()
-				}
-				c.cacheFill(b, data)
-				return data, nil
-			}
+		data, degraded, err := c.fetchBlock(b)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-
-		// Healthy path: walk live replicas fastest-first. A replica the
-		// datanode refuses on checksum grounds is as gone as one on a
-		// dead machine — count it and keep going; the stripe fallback
-		// below reconstructs around it.
-		if len(b.Locations) > 0 {
-			for _, m := range c.replicaOrder(b.Locations) {
-				data, err := c.dnRead(m, b.ID, 0, b.Size, nil)
-				if err == nil {
-					c.cBlocksRead.Inc()
-					c.cacheFill(b, data)
-					return data, nil
-				}
-				if isCorruptReplicaErr(err) {
-					c.cCorruptReps.Inc()
-				}
-				lastErr = err
-			}
+		c.cBlocksRead.Inc()
+		if degraded {
+			c.cDegradedBlocks.Inc()
 		}
-
-		// Degraded path: reconstruct from the stripe.
-		if b.Stripe >= 0 {
-			data, err := c.degradedRead(b)
-			if err == nil {
-				c.cBlocksRead.Inc()
-				c.cDegradedBlocks.Inc()
-				c.cacheFill(b, data)
-				return data, nil
-			}
-			lastErr = err
-		} else if len(b.Locations) == 0 && lastErr == nil {
-			lastErr = fmt.Errorf("serve: block %d has no live replicas and no stripe", b.ID)
-		}
+		c.blockCache.Put(uint64(b.ID), data)
+		return data, nil
 	}
 	return nil, lastErr
 }
 
-// degradedRead reconstructs one striped block: fetch the stripe layout,
-// then either drive the partial-sum pipeline (one folded buffer from
-// the helper tree) or execute the codec's repair plan with every helper
-// range read over the wire, and truncate the decoded shard to the
-// block's logical size. Phantom positions (short tail stripes) decode
-// as zeros without touching the network — exactly the access pattern
-// the repair plans charge for.
-func (c *Client) degradedRead(b wireBlock) ([]byte, error) {
-	// Sampling decision: every Nth degraded read mints a trace context
-	// that rides every RPC the reconstruction issues, plus a root span
-	// recorded locally whose Bytes is the total payload this client
-	// downloaded to serve the read.
-	var (
-		tc         *telemetry.TraceContext
-		rootSpan   uint64
-		traceStart time.Time
-		fetched    atomic.Int64
-	)
-	if c.sampleEvery > 0 && (c.degradedSeq.Add(1)-1)%c.sampleEvery == 0 {
-		rootSpan = telemetry.NewID()
-		tc = &telemetry.TraceContext{TraceID: telemetry.NewID(), SpanID: rootSpan, Sampled: true}
-		c.lastTrace.Store(tc.TraceID)
-		traceStart = time.Now()
+// fetchBlock reads one block over the network: the replica chain, then
+// reconstruction from the stripe; degraded reports whether
+// reconstruction served it. Without a hedge both stages run inline on
+// the caller's goroutine, with no handoff; a hedging client races them
+// (hedgedFetch).
+func (c *Client) fetchBlock(b wireBlock) (data []byte, degraded bool, err error) {
+	if c.hedge && b.Stripe >= 0 && len(b.Locations) > 0 {
+		return c.hedgedFetch(b)
 	}
-	out, err := c.degradedReadTraced(b, tc, &fetched)
-	if tc != nil {
-		span := telemetry.Span{
-			TraceID:       tc.TraceID,
-			SpanID:        rootSpan,
-			Name:          "degraded_read",
-			Process:       "client",
-			StartUnixNano: traceStart.UnixNano(),
-			DurationNanos: int64(time.Since(traceStart)),
-			Bytes:         fetched.Load(),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		c.spans.Add(span)
+	if data, err = c.readReplicas(b.Locations, b.ID, 0, b.Size, nil); err == nil || b.Stripe < 0 {
+		return data, false, err
 	}
-	return out, err
+	data, err = c.reconstruct(b)
+	return data, err == nil, err
 }
 
-func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
+// readReplicas reads one byte range of a block from the first of its
+// holders to serve it, walking them fastest first (replicaOrder). A
+// holder that refuses the range on checksum grounds is as gone as a
+// dead one: it is counted in CorruptReplicas and the walk moves on.
+// trace, when non-nil, rides every request so the datanode's span
+// parents under the caller's.
+func (c *Client) readReplicas(locations []int, block, offset, length int64, trace *telemetry.TraceContext) ([]byte, error) {
+	var lastErr error
+	for _, m := range c.replicaOrder(locations) {
+		_, data, err := c.dnCall(m, &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace}, c.timeout)
+		if err == nil {
+			return data, nil
+		}
+		if isCorruptReplicaErr(err) {
+			c.cCorruptReps.Inc()
+		}
+		lastErr = err
+	}
+	if lastErr == nil {
+		lastErr = fmt.Errorf("serve: block %d has no live replicas", block)
+	}
+	return nil, lastErr
+}
+
+// reconstruct rebuilds one striped block from its stripe (a degraded
+// read) and truncates the decoded shard to the block's logical size.
+// It fetches the stripe layout, tries the partial-sum fold when
+// enabled, then the conventional fan-in: the codec's repair plan with
+// every helper range read through readReplicas. Phantom positions
+// (short tail stripes) decode as zeros without touching the network —
+// exactly the access pattern the repair plans charge for.
+//
+// Every Nth call (WithTraceSampling) mints a trace context that rides
+// each RPC it issues and records a root span whose Bytes is the
+// payload this client downloaded for the read.
+func (c *Client) reconstruct(b wireBlock) (_ []byte, err error) {
+	var (
+		tc      *telemetry.TraceContext
+		fetched int64
+	)
+	if c.sampleEvery > 0 && (c.degradedSeq.Add(1)-1)%c.sampleEvery == 0 {
+		tc = &telemetry.TraceContext{TraceID: telemetry.NewID(), SpanID: telemetry.NewID(), Sampled: true}
+		c.lastTrace.Store(tc.TraceID)
+		start := time.Now()
+		defer func() {
+			span := telemetry.Span{
+				TraceID:       tc.TraceID,
+				SpanID:        tc.SpanID,
+				Name:          "degraded_read",
+				Process:       "client",
+				StartUnixNano: start.UnixNano(),
+				DurationNanos: int64(time.Since(start)),
+				Bytes:         fetched,
+			}
+			if err != nil {
+				span.Err = err.Error()
+			}
+			c.spans.Add(span)
+		}()
+	}
 	resp, err := c.nameCall(&request{Method: methodStripe, Stripe: b.Stripe, Trace: tc}, nil)
 	if err != nil {
 		return nil, err
@@ -829,58 +801,57 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 	if st.ShardSize <= 0 || st.ShardSize > maxPayloadBytes {
 		return nil, fmt.Errorf("serve: stripe %d reports shard size %d out of bounds", b.Stripe, st.ShardSize)
 	}
-	// The target position is forced erased regardless of the layout's
-	// listed holders: the caller only reaches the degraded path after
-	// every replica failed to serve — dead daemon, or the datanode
-	// refused the stored bytes on checksum grounds. The codec rejects
-	// repairing a position whose alive-view says present, and a replica
-	// that cannot be read does not count as present.
+	// The target position starts erased regardless of the layout's
+	// listed holders: reconstruction runs only after every replica
+	// failed to serve, and the codec rejects repairing a position its
+	// alive-view says present. Helper positions join the set when no
+	// holder can serve them.
+	erased := map[int]bool{b.StripePos: true}
 	alive := func(pos int) bool {
-		if pos < 0 || pos >= len(st.Positions) {
-			return false
-		}
-		if pos == b.StripePos {
+		if pos < 0 || pos >= len(st.Positions) || erased[pos] {
 			return false
 		}
 		p := st.Positions[pos]
 		return p.Block < 0 || len(p.Locations) > 0
 	}
 	if c.partialSum {
-		if shard, err := c.partialDegradedRead(b, st, alive, tc, fetched); err == nil {
+		if shard, err := c.partialDegradedRead(b, st, alive, tc, &fetched); err == nil {
 			c.cPartialBlocks.Inc()
 			return shard[:b.Size], nil
 		}
 		// Any pipeline failure (helper died mid-fold, stale addresses,
 		// no linear plan) falls back to the conventional fan-in below.
 	}
-	fetch := func(req ec.ReadRequest) ([]byte, error) {
-		if req.Length < 0 || req.Length > st.ShardSize {
-			return nil, fmt.Errorf("serve: plan read of %d bytes exceeds shard size %d", req.Length, st.ShardSize)
-		}
-		p := st.Positions[req.Shard]
-		if p.Block < 0 {
-			return make([]byte, req.Length), nil
-		}
-		if len(p.Locations) == 0 {
-			return nil, fmt.Errorf("serve: stripe %d position %d has no live holder", b.Stripe, req.Shard)
-		}
-		var lastErr error
-		for _, m := range c.replicaOrder(p.Locations) {
-			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, tc)
-			if err == nil {
-				c.cDegradedBytes.Add(req.Length)
-				fetched.Add(req.Length)
-				return buf, nil
+	for {
+		unreadable := -1
+		shard, err := c.code.ExecuteRepair(b.StripePos, st.ShardSize, alive, func(req ec.ReadRequest) ([]byte, error) {
+			if req.Length < 0 || req.Length > st.ShardSize {
+				return nil, fmt.Errorf("serve: plan read of %d bytes exceeds shard size %d", req.Length, st.ShardSize)
 			}
-			lastErr = err
+			p := st.Positions[req.Shard]
+			if p.Block < 0 {
+				return make([]byte, req.Length), nil
+			}
+			buf, err := c.readReplicas(p.Locations, p.Block, req.Offset, req.Length, tc)
+			if err != nil {
+				unreadable = req.Shard
+				return nil, err
+			}
+			c.cDegradedBytes.Add(req.Length)
+			fetched += req.Length
+			return buf, nil
+		})
+		if err == nil {
+			return shard[:b.Size], nil
 		}
-		return nil, lastErr
+		if unreadable < 0 || erased[unreadable] {
+			return nil, err
+		}
+		// Every holder of that helper is dead or rotten. The namenode
+		// will keep listing a rotten replica, so a retry would re-plan
+		// onto it; plan around it here instead.
+		erased[unreadable] = true
 	}
-	shard, err := c.code.ExecuteRepair(b.StripePos, st.ShardSize, alive, fetch)
-	if err != nil {
-		return nil, err
-	}
-	return shard[:b.Size], nil
 }
 
 // partialDegradedRead reconstructs one striped block through the
@@ -889,8 +860,8 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 // rack-aware fold tree, and download the single folded buffer from the
 // root aggregator. The reconstructing client's NIC carries one
 // block-sized payload instead of the plan's ~k.
-func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.AliveFunc, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
-	// degradedRead bounds st.ShardSize before calling here; repeat the
+func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.AliveFunc, tc *telemetry.TraceContext, fetched *int64) ([]byte, error) {
+	// reconstruct bounds st.ShardSize before calling here; repeat the
 	// check so the zero-fold fast path below stays safe under any
 	// future caller.
 	if st.ShardSize <= 0 || st.ShardSize > maxPayloadBytes {
@@ -946,7 +917,7 @@ func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.Alive
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.dnCallTimeout(tree.Root.Machine, &request{
+	_, out, err := c.dnCall(tree.Root.Machine, &request{
 		Method:  methodDNPartial,
 		Length:  tree.TargetSize,
 		Partial: root,
@@ -959,7 +930,7 @@ func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.Alive
 		return nil, fmt.Errorf("serve: partial buffer has %d bytes, want %d", len(out), tree.TargetSize)
 	}
 	c.cDegradedBytes.Add(int64(len(out)))
-	fetched.Add(int64(len(out)))
+	*fetched += int64(len(out))
 	return out, nil
 }
 

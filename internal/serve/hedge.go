@@ -2,16 +2,15 @@
 // datanode RPC feeds a per-machine EWMA; replica orderings put the
 // observably fast machines first (rotating among near-ties for load
 // spread) instead of blind rotation. On top of the ordering sits the
-// hedge engine: when a striped block's primary replica chain is slow —
-// slower than a configured or quantile-derived delay — the client
-// launches a stripe reconstruction in parallel and returns whichever
-// path answers first. A slow-but-alive datanode then costs one hedge
-// delay, not a full RPC timeout, and is never declared dead for being
-// slow.
+// hedged variant of the read pipeline's network stages: when a striped
+// block's replica chain is slower than a configured or quantile-derived
+// delay, the client starts the stripe reconstruction in parallel and
+// returns whichever stage answers first. A slow-but-alive datanode then
+// costs one hedge delay, not a full RPC timeout, and is never declared
+// dead for being slow.
 package serve
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -179,38 +178,26 @@ type hedgeResult struct {
 	err  error
 }
 
-// hedgedRead races the replica chain against a delayed stripe
-// reconstruction and returns whichever answers first with the block's
-// bytes; degraded reports whether reconstruction served the read. The
-// timer only arms the hedge — a primary that answers before it fires
-// costs nothing extra. The losing arm is left to finish into a
-// buffered channel and its result is dropped; neither arm is ever
-// cancelled mid-RPC, so a hedge never poisons the winner's pooled
-// connection.
-func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error) {
+// hedgedFetch is fetchBlock for a hedging client: the replica chain
+// (the primary) runs in a goroutine, and once the hedge delay passes
+// with it still pending, reconstruction races it; degraded reports
+// whether reconstruction served the read. The timer only arms the
+// hedge — a primary that answers before it fires costs nothing extra. The losing
+// stage finishes into a buffered channel and its result is dropped;
+// neither is cancelled mid-RPC, so a hedge never poisons the winner's
+// pooled connection. A call runs at most one reconstruction: a primary
+// that fails before the timer fires gets a plain inline one, and a
+// hedge that fails first leaves the primary as the last chance.
+func (c *Client) hedgedFetch(b wireBlock) (data []byte, degraded bool, err error) {
 	primary := make(chan hedgeResult, 1)
 	go func() {
-		var lastErr error
-		for _, m := range c.replicaOrder(b.Locations) {
-			data, err := c.dnRead(m, b.ID, 0, b.Size, nil)
-			if err == nil {
-				primary <- hedgeResult{data: data}
-				return
-			}
-			if isCorruptReplicaErr(err) {
-				c.cCorruptReps.Inc()
-			}
-			lastErr = err
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("serve: block %d has no replicas to read", b.ID)
-		}
-		primary <- hedgeResult{err: lastErr}
+		data, err := c.readReplicas(b.Locations, b.ID, 0, b.Size, nil)
+		primary <- hedgeResult{data: data, err: err}
 	}()
 
 	timer := time.NewTimer(c.hedgeDelayNow())
 	defer timer.Stop()
-	timerC := timer.C
+	timerC := timer.C // nil once the hedge has fired
 	var hedge chan hedgeResult
 	for {
 		select {
@@ -218,20 +205,19 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 			if r.err == nil {
 				return r.data, false, nil
 			}
-			primary = nil
-			if hedge == nil {
+			if timerC != nil {
 				// The whole replica chain failed before the hedge
 				// armed: this is a plain degraded read, not a hedge.
-				data, derr := c.degradedRead(b)
-				return data, derr == nil, derr
+				data, err := c.reconstruct(b)
+				return data, err == nil, err
 			}
-			// Reconstruction is already in flight; wait it out.
+			primary, err = nil, r.err
 		case <-timerC:
 			timerC = nil
 			c.cHedgedReads.Inc()
 			hedge = make(chan hedgeResult, 1)
 			go func() {
-				data, err := c.degradedRead(b)
+				data, err := c.reconstruct(b)
 				hedge <- hedgeResult{data: data, err: err}
 			}()
 		case r := <-hedge:
@@ -243,11 +229,10 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 				}
 				return r.data, true, nil
 			}
-			hedge = nil
-			if primary == nil {
-				return nil, false, r.err
-			}
-			// Primary still pending; let it finish.
+			hedge, err = nil, r.err
+		}
+		if primary == nil && hedge == nil {
+			return nil, false, err
 		}
 	}
 }

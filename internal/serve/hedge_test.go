@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ec"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -14,12 +15,28 @@ import (
 // delay, not an RPC timeout. The single replica of a raided block
 // lands on a machine throttled far past the hedge delay; every read
 // still returns byte-identical data, HedgedReads/HedgeWins move, and
-// the throttled machine is never marked dead.
+// the throttled machine is never marked dead. Each codec runs twice,
+// the second time (+partialsum) also dialled WithPartialSumRepair: the
+// hedge's reconstruction must then be served by the fold tree.
 func TestHedgedReadOnThrottledDataNode(t *testing.T) {
+	type input struct {
+		name       string
+		code       ec.Code
+		partialSum bool
+	}
+	var inputs []input
 	for _, code := range testCodecs(t) {
-		t.Run(code.Name(), func(t *testing.T) {
+		inputs = append(inputs, input{code.Name(), code, false}, input{code.Name() + "+partialsum", code, true})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			code := in.code
+			opts := []ClientOption{WithHedgedReads(20 * time.Millisecond)}
+			if in.partialSum {
+				opts = append(opts, WithPartialSumRepair())
+			}
 			sys := startTestSystem(t, code)
-			cl, err := Dial(sys.NameAddr(), code, WithHedgedReads(20*time.Millisecond))
+			cl, err := Dial(sys.NameAddr(), code, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,6 +79,9 @@ func TestHedgedReadOnThrottledDataNode(t *testing.T) {
 			}
 			if c.DegradedBlocks == 0 {
 				t.Fatalf("hedge wins were not counted as degraded serves: %+v", c)
+			}
+			if in.partialSum && c.PartialSumBlocks == 0 {
+				t.Fatalf("hedged reconstruction bypassed the partial-sum pipeline: %+v", c)
 			}
 			if !sys.Cluster().MachineAlive(victim) {
 				t.Fatalf("slow machine %d was marked dead", victim)

@@ -63,7 +63,8 @@ func WithDataDir(dir string) Option {
 }
 
 // WithFsyncPolicy selects the extent store's durability mode (default
-// FsyncInterval). Only meaningful together with WithDataDir.
+// FsyncNever, the policy's zero value). Only meaningful together with
+// WithDataDir.
 func WithFsyncPolicy(p extent.FsyncPolicy) Option {
 	return func(o *sysOptions) { o.fsync = p }
 }
